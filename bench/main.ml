@@ -1197,7 +1197,8 @@ let journal_bench ~smoke_mode () =
    on every test sweep and asserts certification recovers at least 3x
    of the Full-guard overhead, with an absolute slack so sub-2ms
    overheads (nothing left to recover) can never fail tier-1 on a noisy
-   machine. *)
+   machine; beside it, the exact form of the same payoff: the certified
+   runs perform at most a third of the uncertified runs' rule checks. *)
 
 let analyze_bench ~smoke_mode () =
   section
@@ -1285,32 +1286,39 @@ let analyze_bench ~smoke_mode () =
   in
   (* (c) flow cost: guard off, Full without certificates, Full with.
      The warm-up also fills the shared certificate cache, so the
-     certified runs measure the amortized (cached) path. *)
+     certified runs measure the amortized (cached) path.  Each run
+     returns the rule checks the guard performed over the cases — the
+     exact count certification removes. *)
   let run_flow ~guard ~certify () =
-    List.iter
-      (fun (case : Milo_designs.Suite.case) ->
+    List.fold_left
+      (fun checks (case : Milo_designs.Suite.case) ->
         let budget = Milo_rules.Budget.make ~max_steps () in
         match
           Milo.Flow.run ~technology:Milo.Flow.Ecl
             ~constraints:case.Milo_designs.Suite.constraints ~budget ~guard
             ~certify case.Milo_designs.Suite.case_design
         with
-        | Milo.Flow.Complete _ -> ()
+        | Milo.Flow.Complete res ->
+            checks + res.Milo.Flow.guard_stats.Milo_guard.Guard.rule_checks
         | Milo.Flow.Partial p ->
             Printf.printf "analyze: flow degraded at %s: %s\n"
               (Milo.Flow.stage_name p.Milo.Flow.failed_stage)
               p.Milo.Flow.failure.Milo.Flow.err_message;
             exit 1)
-      cases
+      0 cases
   in
-  run_flow ~guard:Milo_guard.Guard.Off ~certify:false ();
-  run_flow ~guard:Milo_guard.Guard.Full ~certify:true ();
-  let off_min = min_of (run_flow ~guard:Milo_guard.Guard.Off ~certify:false) in
+  let timed ~guard ~certify () = ignore (run_flow ~guard ~certify ()) in
+  timed ~guard:Milo_guard.Guard.Off ~certify:false ();
+  let cert_checks = run_flow ~guard:Milo_guard.Guard.Full ~certify:true () in
+  let off_min = min_of (timed ~guard:Milo_guard.Guard.Off ~certify:false) in
   let nocert_min =
-    min_of (run_flow ~guard:Milo_guard.Guard.Full ~certify:false)
+    min_of (timed ~guard:Milo_guard.Guard.Full ~certify:false)
   in
   let cert_min =
-    min_of (run_flow ~guard:Milo_guard.Guard.Full ~certify:true)
+    min_of (timed ~guard:Milo_guard.Guard.Full ~certify:true)
+  in
+  let nocert_checks =
+    run_flow ~guard:Milo_guard.Guard.Full ~certify:false ()
   in
   let over_nocert = nocert_min -. off_min in
   let over_cert = cert_min -. off_min in
@@ -1331,9 +1339,10 @@ let analyze_bench ~smoke_mode () =
     "designs %s, %d trials (min)\n\
      off:            %8.2f ms\n\
      full, no certs: %8.2f ms  (overhead %8.2f ms)\n\
-     full, certs:    %8.2f ms  (overhead %8.2f ms, %.1fx reduction)\n%!"
+     full, certs:    %8.2f ms  (overhead %8.2f ms, %.1fx reduction)\n\
+     rule checks:    %d without certs, %d with\n%!"
     name trials (off_min *. 1e3) (nocert_min *. 1e3) (over_nocert *. 1e3)
-    (cert_min *. 1e3) (over_cert *. 1e3) ratio;
+    (cert_min *. 1e3) (over_cert *. 1e3) ratio nocert_checks cert_checks;
   write_bench "BENCH_absint.json"
     [
       ("designs", Printf.sprintf "%S" name);
@@ -1361,7 +1370,22 @@ let analyze_bench ~smoke_mode () =
       ("overhead_cert_ms", Printf.sprintf "%.3f" (over_cert *. 1e3));
       ( "overhead_reduction",
         Printf.sprintf "%.2f" (if ratio = infinity then 999.0 else ratio) );
+      ("rule_checks_nocert", string_of_int nocert_checks);
+      ("rule_checks_cert", string_of_int cert_checks);
     ];
+  (* The payoff in exact counts, beside the wall-clock assert below:
+     the certified Full-guard runs must perform at most a third of the
+     uncertified runs' rule checks.  Unlike a difference of wall-clock
+     minima this cannot flake; a run with no rule checks to remove
+     would make it vacuous, so that fails too. *)
+  if smoke_mode && (nocert_checks = 0 || 3 * cert_checks > nocert_checks)
+  then begin
+    Printf.printf
+      "analyze smoke: certification payoff too small in rule checks (%d -> \
+       %d, more than a third)\n"
+      nocert_checks cert_checks;
+    exit 1
+  end;
   (* The payoff assert: certification must recover >= 3x of the
      Full-guard overhead — unless the certified overhead is already
      under the 2 ms absolute slack, in which case there is nothing

@@ -48,7 +48,8 @@ type counters = {
 
 type t = {
   design : D.t;
-  env : Sta.env;  (* memoized technology lookup *)
+  tech : Technology.t;
+  env : Sta.env;  (* memoized technology lookup, writes [ct] *)
   input_arrivals : (string * float) list;
   mutable sta : Sta.t;
   mutable area : float;
@@ -72,20 +73,22 @@ let debug_check_enabled () = !debug_check
 (* Relative tolerance of the oracle (and of the equivalence suite). *)
 let tolerance = 1e-9
 
-let create ?(input_arrivals = []) tech design =
-  let ct =
-    {
-      c_advances = 0;
-      c_retreats = 0;
-      c_commits = 0;
-      c_resyncs = 0;
-      c_env_hits = 0;
-      c_env_misses = 0;
-      c_oracle_checks = 0;
-    }
-  in
+let new_counters () =
+  {
+    c_advances = 0;
+    c_retreats = 0;
+    c_commits = 0;
+    c_resyncs = 0;
+    c_env_hits = 0;
+    c_env_misses = 0;
+    c_oracle_checks = 0;
+  }
+
+(* A memoized [Technology.find] over a cache of its own, hit-counted
+   into [ct]. *)
+let memo_env tech ct =
   let cache : (string, M.t) Hashtbl.t = Hashtbl.create 64 in
-  let env name =
+  fun name ->
     match Hashtbl.find_opt cache name with
     | Some m ->
         ct.c_env_hits <- ct.c_env_hits + 1;
@@ -95,14 +98,35 @@ let create ?(input_arrivals = []) tech design =
         ct.c_env_misses <- ct.c_env_misses + 1;
         Hashtbl.replace cache name m;
         m
-  in
+
+let create ?(input_arrivals = []) tech design =
+  let ct = new_counters () in
+  let env = memo_env tech ct in
   {
     design;
+    tech;
     env;
     input_arrivals;
     sta = Sta.analyze ~input_arrivals env design;
     area = Estimate.area env design;
     power = Estimate.power env design;
+    ct;
+  }
+
+(* The fork's lookups go through a cache and counters of its own: the
+   parent's [env] writes the parent's cache, so calling it from a
+   worker domain would race with the parent.  Only reads [t]. *)
+let fork t design =
+  let ct = new_counters () in
+  let env = memo_env t.tech ct in
+  {
+    design;
+    tech = t.tech;
+    env;
+    input_arrivals = t.input_arrivals;
+    sta = Sta.copy t.sta ~env design;
+    area = t.area;
+    power = t.power;
     ct;
   }
 

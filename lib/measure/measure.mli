@@ -49,6 +49,14 @@ val create :
     [Invalid_argument] on unmapped components or combinational loops,
     like [Sta.analyze]. *)
 
+val fork : t -> D.t -> t
+(** [fork t design] is a measurer of [design], an id-preserving copy
+    of [t]'s design ([D.copy]) in the same state: the same totals, a
+    copied timing state ([Milo_timing.Sta.copy]) and a memo cache and
+    counters of its own over the same technology.  It only reads [t]
+    and shares no mutable state with it, so a worker domain can fork
+    and drive it while [t] stays with the coordinator. *)
+
 val design : t -> D.t
 val env : t -> Milo_timing.Sta.env
 (** The memoized macro environment (also usable for estimates). *)

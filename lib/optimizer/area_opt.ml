@@ -24,9 +24,10 @@ let optimize ?(exec = Milo_parallel.Exec.sequential) ?(required = infinity)
     ?(input_arrivals = []) ?(max_steps = 200) ?budget ~rules ~cleanups ctx =
   Milo_trace.Trace.with_span "area-opt" @@ fun () ->
   let cost = cost_fn ~required ~input_arrivals ctx in
-  (* Worker forks carry no measurer, so the factory's cost function
-     recomputes from scratch on the fork — the same objective, just
-     not incremental. *)
+  (* A worker fork carries a fork of the context's measurer (none
+     outside a measured window), so the factory's cost function reads
+     the fork's running totals — the same objective, measured over the
+     candidate's cone as on the coordinator. *)
   let cost_factory wctx = cost_fn ~required ~input_arrivals wctx in
   Engine.greedy_pass_par ~max_steps ?budget ~exec ~cost_factory ctx ~cost
     ~cleanups rules

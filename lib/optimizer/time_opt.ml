@@ -166,32 +166,26 @@ let try_all_par ?budget ~exec ctx ~input_arrivals ~cleanups order =
               try_strategy wctx ~input_arrivals ~cleanups s <> None))
         strategies
     in
-    let outcomes = Exec.map exec tasks in
     let sarr = Array.of_list strategies in
-    Array.iteri
-      (fun i outcome ->
-        match outcome with
-        | Pool.Done (_, fails) -> Milo_rules.Engine.import_failures fails
-        | Pool.Task_failed fault ->
-            Milo_rules.Engine.note_failure_named
-              ~reason:Milo_rules.Engine.Raised
-              (strategy_key sarr.(i).Strategies.strat_name)
-              ("parallel task: " ^ Pool.fault_message fault))
-      outcomes;
+    let improves = Array.make (Array.length sarr) false in
+    Milo_rules.Engine.merge_tasks (Exec.map exec tasks)
+      ~ok:(fun i v -> improves.(i) <- v)
+      ~failed:(fun i fault ->
+        Milo_rules.Engine.note_failure_named ~reason:Milo_rules.Engine.Raised
+          (strategy_key sarr.(i).Strategies.strat_name)
+          ("parallel task: " ^ Pool.fault_message fault));
     let rec pick i =
       if i >= Array.length sarr then None
-      else
-        match outcomes.(i) with
-        | Pool.Done (true, _) -> (
-            (* The oracle said this strategy improves; the
-               authoritative run re-verifies on the real context.  A
-               divergence (rare: the oracle measured from scratch, the
-               context may measure incrementally) just falls through
-               to the next candidate. *)
-            match try_strategy ?budget ctx ~input_arrivals ~cleanups sarr.(i) with
-            | Some step -> Some step
-            | None -> pick (i + 1))
-        | Pool.Done (false, _) | Pool.Task_failed _ -> pick (i + 1)
+      else if improves.(i) then
+        (* The oracle said this strategy improves; the authoritative
+           run re-verifies on the real context.  The oracle's fork
+           carried a fork of the context's measurer, so the two agree;
+           should they not, the pick falls through to the next
+           candidate. *)
+        match try_strategy ?budget ctx ~input_arrivals ~cleanups sarr.(i) with
+        | Some step -> Some step
+        | None -> pick (i + 1)
+      else pick (i + 1)
     in
     pick 0
   end

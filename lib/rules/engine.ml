@@ -185,7 +185,10 @@ let note_failure (r : Rule.t) exn =
    local buffer (returned oldest-first), and tracing / provenance are
    suppressed on this domain, so a task behaves identically whether it
    runs inline on the coordinator or on a pool domain.  The rule guard
-   never runs in a worker — see [guard_snapshot]. *)
+   never runs in a worker — see [guard_snapshot].  A measurement
+   divergence (the debug oracle on the fork's measurer) is returned as
+   [Error], not raised: raised, the supervisor would turn it into a
+   task fault and quarantine the rule as if it were buggy. *)
 let worker_task f =
   let buf = ref [] in
   let saved = Domain.DLS.get worker_key in
@@ -193,13 +196,33 @@ let worker_task f =
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set worker_key saved)
     (fun () ->
-      let v = Trace.without (fun () -> Prov.without f) in
+      let v =
+        match Trace.without (fun () -> Prov.without f) with
+        | v -> Ok v
+        | exception Milo_measure.Measure.Divergence msg -> Error msg
+      in
       (v, List.rev_map (fun d -> (d.df_rule, d.df_msg, d.df_reason)) !buf))
 
-(* Coordinator side: fold a worker's deferred failures into the global
-   quarantine.  Call in task order. *)
-let import_failures fails =
-  List.iter (fun (rule, msg, reason) -> note_failure_named ~reason rule msg) fails
+(* Coordinator side of a fan-out: in task order, fold each finished
+   task's deferred failures into the global quarantine and hand its
+   value to [ok], or its fault to [failed]; then re-raise the first
+   divergence a task carried, so the debug oracle stops the run on the
+   coordinator exactly as it does on the sequential path. *)
+let merge_tasks outcomes ~ok ~failed =
+  let diverged = ref None in
+  Array.iteri
+    (fun i outcome ->
+      match outcome with
+      | Pool.Done (v, fails) -> (
+          List.iter
+            (fun (rule, msg, reason) -> note_failure_named ~reason rule msg)
+            fails;
+          match v with
+          | Ok v -> ok i v
+          | Error msg -> if !diverged = None then diverged := Some msg)
+      | Pool.Task_failed fault -> failed i fault)
+    outcomes;
+  Option.iter (fun msg -> raise (Milo_measure.Measure.Divergence msg)) !diverged
 
 (* --- Semantic rule guard ----------------------------------------------- *)
 
@@ -938,29 +961,26 @@ let greedy_step_par ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx
                   List.map (fun site -> evaluate wctx ~cost:wcost ~cleanups r site) sites))
             groups
         in
-        let outcomes = Exec.map exec tasks in
+        let groups = Array.of_list groups in
         let best = ref None in
-        List.iteri
-          (fun ti ((r : Rule.t), sites) ->
-            match outcomes.(ti) with
-            | Pool.Done (gains, fails) ->
-                import_failures fails;
-                List.iter2
-                  (fun site gain ->
-                    match gain with
-                    | None -> ()
-                    | Some gain -> (
-                        match !best with
-                        | Some { gain = g; _ } when g >= gain -> ()
-                        | _ -> best := Some { rule = r; site; gain }))
-                  sites gains
-            | Pool.Task_failed fault ->
-                (* The whole task is written off and its rule
-                   quarantined: a raising rule, a deadline overrun or a
-                   stall are all contained here, never escalated. *)
-                note_failure_named ~reason:Raised r.Rule.rule_name
-                  ("parallel task: " ^ Pool.fault_message fault))
-          groups;
+        merge_tasks (Exec.map exec tasks)
+          ~ok:(fun ti gains ->
+            let (r : Rule.t), sites = groups.(ti) in
+            List.iter2
+              (fun site gain ->
+                match gain with
+                | None -> ()
+                | Some gain -> (
+                    match !best with
+                    | Some { gain = g; _ } when g >= gain -> ()
+                    | _ -> best := Some { rule = r; site; gain }))
+              sites gains)
+          ~failed:(fun ti fault ->
+            (* The whole task is written off and its rule quarantined:
+               a raising rule, a deadline overrun or a stall are all
+               contained here, never escalated. *)
+            note_failure_named ~reason:Raised (fst groups.(ti)).Rule.rule_name
+              ("parallel task: " ^ Pool.fault_message fault));
         match !best with
         | Some app when app.gain > min_gain ->
             commit_app ?budget ctx ~cleanups app

@@ -82,7 +82,8 @@ val note_failure_named : reason:reason -> string -> string -> unit
 (** {2 Parallel oracle workers}
 
     The parallel fan-out runs candidate evaluations as supervised
-    tasks on forked design snapshots ({!Rule.fork_context}).  Inside
+    tasks on forked design snapshots ({!Rule.fork_context}), each
+    measured by a fork of the context's measurer when it has one.  Inside
     {!worker_task}, the engine's observable machinery is suspended:
     tracing and provenance are suppressed on the domain, the rule
     guard short-circuits (verdict [Unguarded], no stats ticks), and
@@ -93,13 +94,25 @@ val note_failure_named : reason:reason -> string -> string -> unit
     counts. *)
 
 val worker_task :
-  (unit -> 'a) -> 'a * (string * string * reason) list
+  (unit -> 'a) -> ('a, string) result * (string * string * reason) list
 (** Run a task body in oracle-worker mode; returns its value and the
-    deferred failures (oldest first) as [(rule, message, reason)]. *)
+    deferred failures (oldest first) as [(rule, message, reason)].  A
+    {!Milo_measure.Measure.Divergence} raised by the body (the debug
+    oracle on the fork's measurer) comes back as [Error message]
+    instead of a task fault, for {!merge_tasks} to re-raise. *)
 
-val import_failures : (string * string * reason) list -> unit
-(** Fold a worker's deferred failures into the global quarantine.
-    Call on the coordinator, in task-submission order. *)
+val merge_tasks :
+  (('a, string) result * (string * string * reason) list)
+  Milo_parallel.Pool.outcome
+  array ->
+  ok:(int -> 'a -> unit) ->
+  failed:(int -> Milo_parallel.Pool.fault -> unit) ->
+  unit
+(** The coordinator's merge of a {!worker_task} fan-out.  In task
+    order: folds each finished task's deferred failures into the global
+    quarantine and passes its index and value to [ok], or its index and
+    fault to [failed].  Then, if any task carried a divergence, raises
+    {!Milo_measure.Measure.Divergence} with the first one's message. *)
 
 (** {2 Semantic rule guard}
 

@@ -63,16 +63,18 @@ let make_context ?(extra_resolve : D.resolver option) tech set design =
 (* Fork for a parallel oracle worker: an id-preserving snapshot of the
    design (so sites — bare component/net ids — found on the original
    resolve identically on the fork), sharing the immutable technology,
-   gate set and resolver, with fresh focus and measurer slots.  The
-   worker evaluates candidates on the copy and throws it away; nothing
-   it does is visible through the original context. *)
+   gate set and resolver, with a fresh focus slot.  When the original
+   carries an incremental measurer the fork carries a forked one
+   ([Measure.fork]) over the copy, so the worker measures candidates
+   over their touched cone exactly as the coordinator does.  The worker
+   evaluates candidates on the copy and throws it away; nothing it does
+   is visible through the original context. *)
 let fork_context ctx =
-  {
-    ctx with
-    design = D.copy ctx.design;
-    focus = ref None;
-    measurer = ref None;
-  }
+  let design = D.copy ctx.design in
+  let measurer =
+    Option.map (fun m -> Milo_measure.Measure.fork m design) !(ctx.measurer)
+  in
+  { ctx with design; focus = ref None; measurer = ref measurer }
 
 let find_macro ctx name = Technology.find_opt ctx.tech name
 

@@ -33,8 +33,10 @@ val make_context :
 val fork_context : context -> context
 (** An oracle-worker fork: id-preserving copy of the design (sites
     found on the original resolve identically on the fork), shared
-    immutable technology/set/resolver, fresh focus and measurer slots.
-    Nothing done through the fork is visible through the original. *)
+    immutable technology/set/resolver, a fresh focus slot, and — when
+    the original carries a measurer — a forked measurer over the copy
+    ([Milo_measure.Measure.fork]; otherwise none).  Nothing done
+    through the fork is visible through the original. *)
 
 val scan_comps : context -> D.comp list
 (** Components eligible for matching (respects the focus set). *)

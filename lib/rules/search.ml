@@ -298,27 +298,23 @@ let search_par ?(params = default_params) ?stats ?budget ~exec ~cost_factory
                  in
                  (scored, wst.evals)))
     in
-    let rank_out = Exec.map exec rank_tasks in
     let scored = ref [] in
-    Array.iteri
-      (fun ti outcome ->
+    Engine.merge_tasks (Exec.map exec rank_tasks)
+      ~ok:(fun ti (gains, evals) ->
         let r = rules_arr.(ti) in
-        match outcome with
-        | Pool.Done ((gains, evals), fails) ->
-            Engine.import_failures fails;
-            st.evals <- st.evals + evals;
-            (match budget with
-            | Some b -> for _ = 1 to evals do Budget.eval b done
-            | None -> ());
-            List.iter
-              (function
-                | Some (gain, site) -> scored := (gain, r, site) :: !scored
-                | None -> ())
-              gains
-        | Pool.Task_failed fault ->
-            Engine.note_failure_named ~reason:Engine.Raised r.Rule.rule_name
-              ("parallel task: " ^ Pool.fault_message fault))
-      rank_out;
+        st.evals <- st.evals + evals;
+        (match budget with
+        | Some b -> for _ = 1 to evals do Budget.eval b done
+        | None -> ());
+        List.iter
+          (function
+            | Some (gain, site) -> scored := (gain, r, site) :: !scored
+            | None -> ())
+          gains)
+      ~failed:(fun ti fault ->
+        Engine.note_failure_named ~reason:Engine.Raised
+          rules_arr.(ti).Rule.rule_name
+          ("parallel task: " ^ Pool.fault_message fault));
     let sorted =
       List.sort (fun (a, _, _) (b, _, _) -> compare b a) (List.rev !scored)
     in
@@ -360,29 +356,25 @@ let search_par ?(params = default_params) ?stats ?budget ~exec ~cost_factory
     let branch_out = Exec.map exec branch_tasks in
     st.nodes <- st.nodes + 1;
     let best = ref (root_cost, []) in
-    Array.iteri
-      (fun bi outcome ->
+    Engine.merge_tasks branch_out
+      ~ok:(fun bi res ->
         let _, (r : Rule.t), site = ranked_arr.(bi) in
-        match outcome with
-        | Pool.Done (res, fails) -> (
-            Engine.import_failures fails;
-            match res with
-            | None -> ()
-            | Some (c, sub_cost, sub_moves, nodes, evals) ->
-                st.nodes <- st.nodes + nodes;
-                st.evals <- st.evals + evals;
-                (match budget with
-                | Some b -> for _ = 1 to evals do Budget.eval b done
-                | None -> ());
-                let total = Float.min c sub_cost in
-                if total < fst !best then
-                  best :=
-                    ( total,
-                      (r, site) :: (if sub_cost < c then sub_moves else []) ))
-        | Pool.Task_failed fault ->
-            Engine.note_failure_named ~reason:Engine.Raised r.Rule.rule_name
-              ("parallel task: " ^ Pool.fault_message fault))
-      branch_out;
+        match res with
+        | None -> ()
+        | Some (c, sub_cost, sub_moves, nodes, evals) ->
+            st.nodes <- st.nodes + nodes;
+            st.evals <- st.evals + evals;
+            (match budget with
+            | Some b -> for _ = 1 to evals do Budget.eval b done
+            | None -> ());
+            let total = Float.min c sub_cost in
+            if total < fst !best then
+              best :=
+                (total, (r, site) :: (if sub_cost < c then sub_moves else [])))
+      ~failed:(fun bi fault ->
+        let _, (r : Rule.t), _ = ranked_arr.(bi) in
+        Engine.note_failure_named ~reason:Engine.Raised r.Rule.rule_name
+          ("parallel task: " ^ Pool.fault_message fault));
     let best_cost, seq = !best in
     if Milo_trace.Trace.enabled () then begin
       Milo_trace.Trace.count "search.nodes" (st.nodes - nodes0);

@@ -342,6 +342,20 @@ let analyze ?(input_arrivals = []) env design =
     (D.comps design);
   t
 
+(* An independent copy of the analysis onto [design], an id-preserving
+   copy of [t]'s design ([D.copy]): the tables are copied (bucket order
+   included, so ties enumerate identically) and [env] replaces the
+   macro lookup.  Reads [t] only. *)
+let copy t ~env design =
+  {
+    t with
+    design;
+    env;
+    net_arrival = Hashtbl.copy t.net_arrival;
+    net_from = Hashtbl.copy t.net_from;
+    ep_arrival = Hashtbl.copy t.ep_arrival;
+  }
+
 let worst_delay t =
   match t.worst_cache with
   | Some w -> w

@@ -18,6 +18,13 @@ val analyze : ?input_arrivals:(string * float) list -> env -> D.t -> t
 (** Raises [Invalid_argument] on unmapped components or combinational
     loops. *)
 
+val copy : t -> env:env -> D.t -> t
+(** [copy t ~env design] is an independent analysis of [design], an
+    id-preserving copy of [t]'s design ([D.copy]) in the same state:
+    the arrival and endpoint tables are copied, [env] serves its macro
+    lookups.  Only reads [t]; updates and rollbacks of either side are
+    invisible to the other. *)
+
 val worst_delay : t -> float
 val endpoints : t -> (endpoint * float) list
 (** Sorted by arrival, latest first. *)

@@ -153,6 +153,193 @@ let mapped_case (c : Suite.case) =
   let mapped, _ = Flow.human_baseline ~technology:Flow.Ecl c.Suite.case_design in
   (c.Suite.case_name, mapped)
 
+(* --- Forked measurers ------------------------------------------------ *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let totals_bits_equal (a : Measure.totals) (b : Measure.totals) =
+  bits_equal a.Measure.delay b.Measure.delay
+  && bits_equal a.Measure.area b.Measure.area
+  && bits_equal a.Measure.power b.Measure.power
+
+(* A fork of a measurer through [Rule.fork_context]: bit-equal to its
+   parent at birth; a random advance/retreat/commit sequence on it
+   leaves the parent's totals, worst delay and endpoint table exactly
+   as they were; and after every advance it agrees with a fresh
+   measurer of the forked design. *)
+let drive_fork name design ~steps =
+  let ctx = ctx_for design in
+  if !((R.fork_context ctx).R.measurer) <> None then
+    fail "%s: fork of a context without a measurer carries one" name;
+  let m = Measure.create ~input_arrivals:[] (Lazy.force ecl) design in
+  ctx.R.measurer := Some m;
+  let parent_totals = Measure.current m in
+  let parent_worst = Sta.worst_delay (Measure.sta m) in
+  let parent_eps = Sta.endpoints (Measure.sta m) in
+  let parent_unchanged where =
+    if
+      not
+        (totals_bits_equal (Measure.current m) parent_totals
+        && bits_equal (Sta.worst_delay (Measure.sta m)) parent_worst
+        && Sta.endpoints (Measure.sta m) = parent_eps)
+    then fail "%s: %s moved the parent measurer" name where
+  in
+  let wctx = R.fork_context ctx in
+  match !(wctx.R.measurer) with
+  | None -> fail "%s: fork of a measured context carries no measurer" name
+  | Some f -> (
+      if not (totals_bits_equal (Measure.current f) parent_totals) then
+        fail "%s: fork totals differ from the parent's" name;
+      if not (bits_equal (Sta.worst_delay (Measure.sta f)) parent_worst) then
+        fail "%s: fork worst delay differs from the parent's" name;
+      if Measure.design f != wctx.R.design || Measure.design f == design then
+        fail "%s: fork does not measure the forked design" name;
+      try
+        for i = 0 to steps - 1 do
+          let candidates =
+            List.concat_map
+              (fun r -> List.map (fun s -> (r, s)) (Engine.guarded_find wctx r))
+              (rules ())
+          in
+          if candidates <> [] then begin
+            let r, site = List.nth candidates (rand (List.length candidates)) in
+            let where = Printf.sprintf "fork step %d (%s)" i r.R.rule_name in
+            let log = D.new_log () in
+            if Engine.guarded_apply wctx r site log then begin
+              Engine.run_cleanups wctx (cleanups ()) log;
+              let mstep = Engine.measure_step wctx log in
+              parent_unchanged (where ^ " advance");
+              (match mstep with
+              | Engine.Measured _ ->
+                  let fresh =
+                    Measure.create ~input_arrivals:[] (Lazy.force ecl)
+                      wctx.R.design
+                  in
+                  let got = Measure.current f
+                  and want = Measure.current fresh in
+                  if
+                    not
+                      (close got.Measure.delay want.Measure.delay
+                      && close got.Measure.area want.Measure.area
+                      && close got.Measure.power want.Measure.power)
+                  then
+                    fail "%s: %s: fork (%.12g, %.12g, %.12g) <> fresh \
+                          (%.12g, %.12g, %.12g)"
+                      name where got.Measure.delay got.Measure.area
+                      got.Measure.power want.Measure.delay want.Measure.area
+                      want.Measure.power
+              | Engine.No_measurer | Engine.Measure_failed -> ());
+              if rand 2 = 0 then begin
+                Engine.measure_keep wctx mstep;
+                D.commit log
+              end
+              else begin
+                D.undo wctx.R.design log;
+                Engine.measure_drop wctx mstep
+              end;
+              parent_unchanged (where ^ " keep/drop")
+            end
+            else D.undo wctx.R.design log
+          end
+        done;
+        Printf.printf "%-24s fork: %d steps, parent untouched\n" name steps
+      with
+      | Measure.Divergence msg -> fail "%s: fork oracle divergence: %s" name msg
+      | e -> fail "%s: fork raised %s" name (Printexc.to_string e))
+
+(* A rule whose edit bypasses its change log: the measurer never sees
+   the component it adds, so the debug oracle diverges on the first
+   advance after it. *)
+let unlogged_rule =
+  R.make ~name:"test-unlogged-add" ~cls:R.Area
+    ~find:(fun _ -> [ R.site ~comps:[] "unlogged" ])
+    ~apply:(fun ctx _ _ ->
+      ignore (D.add_comp ctx.R.design (Milo_netlist.Types.Macro "E_INV"));
+      true)
+
+(* A divergence inside a supervised task must reach the coordinator as
+   [Measure.Divergence], at every fan-out site, and must not quarantine
+   the rule as a fault. *)
+let divergence_escapes name design =
+  let exec = Milo_parallel.Exec.inline () in
+  let cost_factory wctx () =
+    Engine.weighted () (Measure.current (Option.get !(wctx.R.measurer)))
+  in
+  let sites =
+    [
+      ( "greedy_step_par",
+        fun ctx ->
+          ignore
+            (Engine.greedy_step_par ~exec ~cost_factory ctx ~cleanups:[]
+               [ unlogged_rule ]) );
+      ( "search_par",
+        fun ctx ->
+          ignore
+            (Milo_rules.Search.search_par ~exec ~cost_factory ctx
+               ~cost:(cost_factory ctx) ~cleanups:[] [ unlogged_rule ]) );
+    ]
+  in
+  List.iter
+    (fun (site, run) ->
+      Engine.quarantine_reset ();
+      let ctx = ctx_for (D.copy design) in
+      ctx.R.measurer :=
+        Some (Measure.create ~input_arrivals:[] (Lazy.force ecl) ctx.R.design);
+      (match run ctx with
+      | () -> fail "%s: %s: worker divergence did not escape" name site
+      | exception Measure.Divergence _ -> ()
+      | exception e ->
+          fail "%s: %s: raised %s instead of Divergence" name site
+            (Printexc.to_string e));
+      if Engine.is_quarantined unlogged_rule.R.rule_name then
+        fail "%s: %s: divergence quarantined the rule" name site)
+    sites;
+  Engine.quarantine_reset ()
+
+(* The debug oracle on the flow path: with the fork measurers
+   cross-checked on every advance and retreat, the suite designs
+   optimize at one inline domain and at a forced four-domain pool with
+   no quarantined rule and exactly the designs of a debug-off run. *)
+let debug_flow_digests ~debug ~domains (c : Suite.case) =
+  Measure.set_debug_check debug;
+  let what =
+    Printf.sprintf "%s debug=%b domains=%d" c.Suite.case_name debug domains
+  in
+  match
+    Flow.run ~technology:Flow.Ecl ~constraints:c.Suite.constraints ~domains
+      ~force_domains:true c.Suite.case_design
+  with
+  | Flow.Complete res ->
+      if res.Flow.quarantined <> [] then
+        fail "%s: quarantined %s" what
+          (String.concat ", " (List.map fst res.Flow.quarantined));
+      Some (Milo_netlist.Hashcons.design_digest res.Flow.optimized)
+  | Flow.Partial pr ->
+      fail "%s: degraded at %s (%s)" what
+        (Flow.stage_name pr.Flow.failed_stage)
+        pr.Flow.failure.Flow.err_message;
+      None
+  | exception e ->
+      fail "%s: raised %s" what (Printexc.to_string e);
+      None
+
+let check_debug_flow (c : Suite.case) =
+  let off = debug_flow_digests ~debug:false ~domains:1 c in
+  let on1 = debug_flow_digests ~debug:true ~domains:1 c in
+  let on4 = debug_flow_digests ~debug:true ~domains:4 c in
+  Measure.set_debug_check true;
+  match (off, on1, on4) with
+  | Some off, Some on1, Some on4 ->
+      if on1 <> off then
+        fail "%s: debug-on domains=1 digest differs from debug-off"
+          c.Suite.case_name;
+      if on4 <> off then
+        fail "%s: debug-on domains=4 digest differs from debug-off"
+          c.Suite.case_name;
+      Printf.printf "%-24s debug oracle: domains 1 == 4 == debug-off\n"
+        c.Suite.case_name
+  | _ -> ()
+
 let () =
   Engine.quarantine_reset ();
   Measure.set_debug_check true;
@@ -172,6 +359,18 @@ let () =
       let name, mapped = mapped_case c in
       drive name mapped ~steps:30)
     [ Suite.design1 (); Suite.design4 (); Suite.design7 () ];
+  (* Forked measurers, on a random workload and a sequential design. *)
+  List.iter
+    (fun (name, design) -> drive_fork name design ~steps:25)
+    [
+      ( "fork_g60_s23",
+        Milo_techmap.Table_map.map_design
+          (Milo_techmap.Table_map.ecl_target ())
+          (Milo_designs.Workload.random_logic ~gates:60 ~seed:23 ()) );
+      mapped_case (Suite.design7 ());
+    ];
+  divergence_escapes "design1" (snd (mapped_case (Suite.design1 ())));
+  List.iter check_debug_flow (Suite.all ());
   Measure.set_debug_check false;
   if !failures > 0 then (
     Printf.printf "%d failure(s)\n" !failures;

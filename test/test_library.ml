@@ -156,6 +156,60 @@ let test_figure13_coverage () =
       Alcotest.(check bool) (name ^ " present") true (Tech.mem lib name))
     required
 
+(* The precomputed-table shape recognizer agrees with recomputing each
+   candidate gate's truth table in match order, on every macro of the
+   three libraries; and it recognizes gates in each (not vacuous). *)
+let test_gate_shape_tables () =
+  let module GS = Milo_critic.Gate_shape in
+  List.iter
+    (fun tech ->
+      let recognized = ref 0 in
+      List.iter
+        (fun (m : Macro.t) ->
+          let name = Printf.sprintf "%s/%s" (Tech.name tech) m.Macro.mname in
+          let arity = List.length m.Macro.inputs in
+          let want =
+            match Macro.single_output_tt m with
+            | Some tt when arity >= 1 && arity <= Truth_table.max_vars ->
+                List.find_map
+                  (fun fn ->
+                    if Truth_table.equal tt (Milo_library.Defs.gate_tt fn arity)
+                    then Some fn
+                    else None)
+                  (if arity = 1 then [ T.Inv; T.Buf ]
+                   else [ T.And; T.Or; T.Nand; T.Nor; T.Xor; T.Xnor ])
+            | Some _ | None -> None
+          in
+          let got =
+            Option.map (fun (s : GS.shape) -> s.GS.fn) (GS.of_macro m)
+          in
+          if got <> None then incr recognized;
+          Alcotest.(check bool) (name ^ " of_macro") true (got = want);
+          (match GS.of_macro m with
+          | Some s -> Alcotest.(check int) (name ^ " arity") arity s.GS.arity
+          | None -> ());
+          let want_mux =
+            match Macro.single_output_tt m with
+            | Some tt ->
+                List.find_opt
+                  (fun n ->
+                    arity = n + T.clog2 n
+                    && List.for_all
+                         (fun i ->
+                           List.mem (Printf.sprintf "D%d" i) m.Macro.inputs)
+                         (List.init n Fun.id)
+                    && Truth_table.equal tt (Milo_library.Defs.mux_tt n))
+                  [ 2; 4 ]
+            | None -> None
+          in
+          Alcotest.(check (option int)) (name ^ " mux_inputs") want_mux
+            (GS.mux_inputs m))
+        (Tech.all tech);
+      Alcotest.(check bool)
+        (Tech.name tech ^ " recognizes gates")
+        true (!recognized > 0))
+    (libs ())
+
 let () =
   Alcotest.run "library"
     [
@@ -176,5 +230,10 @@ let () =
         [
           Alcotest.test_case "matches_for" `Quick test_matches_for;
           Alcotest.test_case "gate arities" `Quick test_gate_arities;
+        ] );
+      ( "gate-shape",
+        [
+          Alcotest.test_case "table matches recomputation" `Quick
+            test_gate_shape_tables;
         ] );
     ]
