@@ -1198,7 +1198,13 @@ let journal_bench ~smoke_mode () =
    of the Full-guard overhead, with an absolute slack so sub-2ms
    overheads (nothing left to recover) can never fail tier-1 on a noisy
    machine; beside it, the exact form of the same payoff: the certified
-   runs perform at most a third of the uncertified runs' rule checks. *)
+   runs perform at most a third of the uncertified runs' rule checks.
+   The three configurations are interleaved inside each trial and the
+   overheads are medians of per-trial differences, so a slow phase of
+   the host lands on all three runs of a trial instead of on one
+   configuration's block.  The flows are single-threaded and timed in
+   process CPU time, which time spent waiting for a core does not
+   inflate. *)
 
 let analyze_bench ~smoke_mode () =
   section
@@ -1226,7 +1232,7 @@ let analyze_bench ~smoke_mode () =
          (fun (c : Milo_designs.Suite.case) -> c.Milo_designs.Suite.case_name)
          cases)
   in
-  let trials = if smoke_mode then 3 else 5 in
+  let trials = 15 in
   (* More steps than the guard-overhead smoke: the per-application cone
      checks are what certification removes, so the headroom of the 3x
      assert grows with the number of applications. *)
@@ -1307,21 +1313,32 @@ let analyze_bench ~smoke_mode () =
             exit 1)
       0 cases
   in
-  let timed ~guard ~certify () = ignore (run_flow ~guard ~certify ()) in
-  timed ~guard:Milo_guard.Guard.Off ~certify:false ();
+  (* A full major collection before each timed run, outside the timed
+     interval: otherwise a run pays for the previous run's garbage. *)
+  let timed ~guard ~certify () =
+    Gc.full_major ();
+    let t0 = Sys.time () in
+    ignore (run_flow ~guard ~certify ());
+    Sys.time () -. t0
+  in
+  ignore (timed ~guard:Milo_guard.Guard.Off ~certify:false ());
   let cert_checks = run_flow ~guard:Milo_guard.Guard.Full ~certify:true () in
-  let off_min = min_of (timed ~guard:Milo_guard.Guard.Off ~certify:false) in
-  let nocert_min =
-    min_of (timed ~guard:Milo_guard.Guard.Full ~certify:false)
+  let runs =
+    List.init trials (fun _ ->
+        let off = timed ~guard:Milo_guard.Guard.Off ~certify:false () in
+        let nocert = timed ~guard:Milo_guard.Guard.Full ~certify:false () in
+        let cert = timed ~guard:Milo_guard.Guard.Full ~certify:true () in
+        (off, nocert, cert))
   in
-  let cert_min =
-    min_of (timed ~guard:Milo_guard.Guard.Full ~certify:true)
-  in
+  let least f = List.fold_left (fun acc r -> Float.min acc (f r)) infinity runs in
+  let off_min = least (fun (o, _, _) -> o) in
+  let nocert_min = least (fun (_, n, _) -> n) in
+  let cert_min = least (fun (_, _, c) -> c) in
   let nocert_checks =
     run_flow ~guard:Milo_guard.Guard.Full ~certify:false ()
   in
-  let over_nocert = nocert_min -. off_min in
-  let over_cert = cert_min -. off_min in
+  let over_nocert = median (List.map (fun (o, n, _) -> n -. o) runs) in
+  let over_cert = median (List.map (fun (o, _, c) -> c -. o) runs) in
   let ratio =
     if over_cert > 0.0 then over_nocert /. over_cert else infinity
   in
@@ -1336,7 +1353,8 @@ let analyze_bench ~smoke_mode () =
     (certified_fraction *. 100.0)
     (prove_time *. 1e3);
   Printf.printf
-    "designs %s, %d trials (min)\n\
+    "designs %s, %d interleaved trials, CPU time (min; overheads: median \
+     per trial)\n\
      off:            %8.2f ms\n\
      full, no certs: %8.2f ms  (overhead %8.2f ms)\n\
      full, certs:    %8.2f ms  (overhead %8.2f ms, %.1fx reduction)\n\

@@ -57,7 +57,8 @@ let make_ctx _db tech_db target design =
     target.Table_map.tech target.Table_map.set design
 
 (* Greedy area/quality pass over one level of the hierarchy.  Uses a
-   structural cost (area + gate count) so it applies to sub-designs with
+   structural cost (the summed area of the level's macros and of its
+   already-optimized instances) so it applies to sub-designs with
    instances, where full STA is not yet meaningful. *)
 let level_cost target tech_db ctx () =
   let area (c : D.comp) =
@@ -119,6 +120,8 @@ let flat_passes ?(exec = Milo_parallel.Exec.sequential) ~required
         Milo_rules.Engine.run_cleanups ctx Milo_critic.Critic.electric log;
         D.commit ~label:"electric" ~design:d log)
   in
+  (* Not fixed yet: the first committed candidate's cleanups delete these
+     buffers (buffer-elim), so time/area-opt see fanout > 8 until the end. *)
   electric ();
   (* One incremental measurer for the whole flat optimization stage:
      the timing and area passes below share it through the context, so

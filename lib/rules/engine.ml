@@ -669,13 +669,103 @@ let guarded_apply ctx (r : Rule.t) site log =
           Prov.debit ~kind:"quarantine" ~rule:r.Rule.rule_name;
         false
 
+(* --- Cleanup lookahead ---------------------------------------------------- *)
+
+(* The Logic Consultant examines its high-priority cleanup rules after
+   each regular rule application, Rete-style (Section 2.2.1): "once a
+   test has been performed on a tree node, it is not redone until a
+   change in data occurs upon which the attribute is dependent".
+
+   Cleanup rules keep a locality contract (see [Rule.rule_class]): a
+   component's site status depends only on the component and the nets
+   on its pins, with their drivers and fanout.  So after a change log,
+   a component can anchor a site only if it anchored one before (the
+   [seed]: the components of every cleanup site of the committed
+   design), or the log touched it, or it has a pin on a touched net.
+   The finds scan just that focus, which grows with each cleanup's own
+   edits; since a focused scan keeps the whole scan's order, the same
+   sites fire in the same order as over the whole design.  Without a
+   seed the focus is the whole design. *)
+
+(* Components of every site the cleanups find over the whole current
+   design: the seed of a greedy step, taken once on the committed
+   design.  [None] when a find raises — the lookahead then scans the
+   whole design, and quarantines the rule exactly where it did. *)
+let cleanup_seed ctx cleanups =
+  match
+    List.concat_map
+      (fun (r : Rule.t) ->
+        if is_quarantined r.Rule.rule_name then []
+        else List.concat_map (fun s -> s.Rule.site_comps) (r.Rule.find ctx))
+      cleanups
+  with
+  | comps -> Some (List.sort_uniq compare comps)
+  | exception ((Out_of_memory | Stack_overflow | Pool.Cancelled) as e) ->
+      raise e
+  | exception _ -> None
+
+(* Widen [focus] by the edits [entries] record: the touched components,
+   and every component with a pin on a touched net — the nets the
+   entries name, plus the nets of the touched components. *)
+let widen_focus ctx focus entries =
+  let design = ctx.Rule.design in
+  let net nid =
+    match D.net_opt design nid with
+    | Some n -> List.iter (fun (cid, _) -> Hashtbl.replace focus cid ()) n.D.npins
+    | None -> ()
+  in
+  let comp cid =
+    Hashtbl.replace focus cid ();
+    match D.comp_opt design cid with
+    | Some c -> Hashtbl.iter (fun _ nid -> net nid) c.D.conns
+    | None -> ()
+  in
+  List.iter
+    (function
+      | D.E_add_comp (cid, _, _) | D.E_set_kind (cid, _, _) -> comp cid
+      | D.E_remove_comp (cid, _, _, saved) ->
+          comp cid;
+          List.iter (fun (_, nid) -> net nid) saved
+      | D.E_connect (cid, _, prev, next) ->
+          comp cid;
+          Option.iter net prev;
+          Option.iter net next
+      | D.E_add_net (nid, _) | D.E_remove_net (nid, _, _) -> net nid)
+    entries
+
+(* The entries prepended to [log] since its head was [head]. *)
+let since head log =
+  let rec go l = if l == head then [] else match l with e :: r -> e :: go r | [] -> [] in
+  go !log
+
 (* Apply every applicable cleanup rule until none fires (bounded).  The
-   Logic Consultant examines its high-priority rules after each regular
-   rule application.  The budget counts successful applications only —
-   dead or non-applying sites cost nothing — and once exhausted no
-   further site is scanned. *)
-let run_cleanups ctx cleanups log =
+   budget counts successful applications only — dead or non-applying
+   sites cost nothing — and once exhausted no further site is scanned.
+   With a [seed] (see [cleanup_seed]) the design must be the seed's
+   committed design plus exactly the edits in [log]. *)
+let run_cleanups_in ?seed ctx cleanups log =
   let budget = ref (4 * (1 + D.num_comps ctx.Rule.design)) in
+  let focus =
+    Option.map
+      (fun seed ->
+        let tbl = Hashtbl.create 64 in
+        List.iter (fun cid -> Hashtbl.replace tbl cid ()) seed;
+        widen_focus ctx tbl !log;
+        tbl)
+      seed
+  in
+  let saved = !(ctx.Rule.focus) in
+  ctx.Rule.focus := focus;
+  Fun.protect ~finally:(fun () -> ctx.Rule.focus := saved) @@ fun () ->
+  let fire r site =
+    let head = !log in
+    guarded_apply ctx r site log
+    && begin
+         decr budget;
+         Option.iter (fun tbl -> widen_focus ctx tbl (since head log)) focus;
+         true
+       end
+  in
   let rec pass () =
     let fired =
       List.exists
@@ -683,17 +773,69 @@ let run_cleanups ctx cleanups log =
           !budget > 0
           && List.exists
                (fun site ->
-                 !budget > 0
-                 && Rule.site_alive ctx site
-                 && guarded_apply ctx r site log
-                 && (decr budget;
-                     true))
+                 !budget > 0 && Rule.site_alive ctx site && fire r site)
                (guarded_find ctx r))
         cleanups
     in
     if fired && !budget > 0 then pass ()
   in
   pass ()
+
+(* Differential oracle for the focus: when armed, every seeded run is
+   repeated over the whole design on an id-preserving copy taken before
+   it, as an oracle worker (no rule guard, trace or provenance, its
+   failures discarded), and the two must record the same entries and
+   reach the same design digest.  The counts are atomic: seeded runs
+   also happen inside worker tasks. *)
+let debug_cleanups = Atomic.make false
+let cleanup_checks = Atomic.make 0
+let cleanup_seeded = Atomic.make 0
+let cleanup_divergences : string list Atomic.t = Atomic.make []
+
+let set_debug_cleanups v =
+  Atomic.set cleanup_checks 0;
+  Atomic.set cleanup_seeded 0;
+  Atomic.set cleanup_divergences [];
+  Atomic.set debug_cleanups v
+
+let debug_cleanup_counts () =
+  ( Atomic.get cleanup_checks,
+    Atomic.get cleanup_seeded,
+    List.rev (Atomic.get cleanup_divergences) )
+
+let run_cleanups ?seed ctx cleanups log =
+  match seed with
+  | Some s when Atomic.get debug_cleanups ->
+      let whole =
+        {
+          ctx with
+          Rule.design = D.copy ctx.Rule.design;
+          focus = ref None;
+          measurer = ref None;
+        }
+      in
+      let head = !log in
+      run_cleanups_in ?seed ctx cleanups log;
+      let wlog = D.new_log () in
+      ignore (worker_task (fun () -> run_cleanups_in whole cleanups wlog));
+      Atomic.incr cleanup_checks;
+      if s <> [] then Atomic.incr cleanup_seeded;
+      let focused = List.rev (since head log) in
+      let digest = Milo_netlist.Hashcons.design_digest in
+      if focused <> D.entries wlog || digest ctx.Rule.design <> digest whole.Rule.design
+      then begin
+        let msg =
+          Printf.sprintf "%s: focused cleanups recorded %d entries, whole-design %d"
+            (D.name ctx.Rule.design) (List.length focused)
+            (List.length (D.entries wlog))
+        in
+        let rec push () =
+          let old = Atomic.get cleanup_divergences in
+          if not (Atomic.compare_and_set cleanup_divergences old (msg :: old)) then push ()
+        in
+        push ()
+      end
+  | Some _ | None -> run_cleanups_in ?seed ctx cleanups log
 
 (* --- Measurer lock-step ------------------------------------------------ *)
 
@@ -773,8 +915,9 @@ let site_digest ctx (site : Rule.site) =
 
    When a tracer is installed, each evaluation is timed into the
    per-rule attribution table and the eval-latency histogram, and a
-   rejected candidate emits a [Rule_refused] event naming the reason. *)
-let evaluate ?budget ctx ~cost ~cleanups (r : Rule.t) site =
+   rejected candidate emits a [Rule_refused] event naming the reason.
+   [seed] focuses the cleanup lookahead (see [run_cleanups]). *)
+let evaluate ?budget ?seed ctx ~cost ~cleanups (r : Rule.t) site =
   Pool.poll ();
   match budget with
   | Some b when Budget.exhausted b -> None
@@ -808,7 +951,7 @@ let evaluate ?budget ctx ~cost ~cleanups (r : Rule.t) site =
         finish ~reason:"apply-failed" None
       end
       else begin
-        run_cleanups ctx cleanups log;
+        run_cleanups ?seed ctx cleanups log;
         match measure_step ctx log with
         | Measure_failed ->
             (* The candidate state is unmeasurable incrementally (e.g.
@@ -837,7 +980,7 @@ let evaluate ?budget ctx ~cost ~cleanups (r : Rule.t) site =
    place the winner touches the coordinator's design, so every
    observable side effect (trace, ledger, guard stats, journal entries)
    flows from the same code regardless of domain count. *)
-let commit_app ?budget ctx ~cleanups (app : application) =
+let commit_app ?budget ?seed ctx ~cleanups (app : application) =
   let traced = Trace.enabled () in
   let prov = Prov.enabled () in
   let t0 = if traced then Unix.gettimeofday () else 0.0 in
@@ -846,7 +989,7 @@ let commit_app ?budget ctx ~cleanups (app : application) =
   let log = D.new_log () in
   if guarded_apply ctx app.rule app.site log then begin
     let verdict = !(last_verdict ()) in
-    run_cleanups ctx cleanups log;
+    run_cleanups ?seed ctx cleanups log;
     measure_keep ctx (measure_step ctx log);
     (* Attribution note for the commit below: the measurer's totals
        are final here (cleanups measured, step kept), so [after] is
@@ -890,7 +1033,8 @@ let commit_app ?budget ctx ~cleanups (app : application) =
   end
 
 (* One greedy step: evaluate all candidates, commit the best if it
-   improves the cost.  Returns the applied candidate. *)
+   improves the cost.  Returns the applied candidate.  The cleanup seed
+   is taken once, on the committed design every candidate starts from. *)
 let greedy_step ?(min_gain = 1e-9) ?budget ctx ~cost ~cleanups rules =
   let candidates =
     List.concat_map
@@ -898,10 +1042,11 @@ let greedy_step ?(min_gain = 1e-9) ?budget ctx ~cost ~cleanups rules =
         List.map (fun site -> (r, site)) (guarded_find ctx r))
       rules
   in
+  let seed = if candidates = [] then None else cleanup_seed ctx cleanups in
   let best =
     List.fold_left
       (fun acc (r, site) ->
-        match evaluate ?budget ctx ~cost ~cleanups r site with
+        match evaluate ?budget ?seed ctx ~cost ~cleanups r site with
         | None -> acc
         | Some gain -> (
             match acc with
@@ -910,7 +1055,8 @@ let greedy_step ?(min_gain = 1e-9) ?budget ctx ~cost ~cleanups rules =
       None candidates
   in
   match best with
-  | Some app when app.gain > min_gain -> commit_app ?budget ctx ~cleanups app
+  | Some app when app.gain > min_gain ->
+      commit_app ?budget ?seed ctx ~cleanups app
   | Some _ | None -> None
 
 (* --- Parallel greedy ------------------------------------------------- *)
@@ -930,7 +1076,8 @@ let greedy_step ?(min_gain = 1e-9) ?budget ctx ~cost ~cleanups rules =
    candidate, deterministically), imports deferred quarantine failures
    in task order, and re-applies only the merged winner through
    [commit_app] — the same authoritative path the sequential step
-   uses. *)
+   uses.  The cleanup seed is taken on the coordinator and reaches the
+   workers through their task closures: their forks keep its ids. *)
 let greedy_step_par ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx
     ~cleanups rules =
   match budget with
@@ -952,13 +1099,16 @@ let greedy_step_par ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx
               (fun (_, sites) -> List.iter (fun _ -> Budget.eval b) sites)
               groups
         | None -> ());
+        let seed = cleanup_seed ctx cleanups in
         let tasks =
           List.map
             (fun ((r : Rule.t), sites) () ->
               worker_task (fun () ->
                   let wctx = Rule.fork_context ctx in
                   let wcost = cost_factory wctx in
-                  List.map (fun site -> evaluate wctx ~cost:wcost ~cleanups r site) sites))
+                  List.map
+                    (fun site -> evaluate ?seed wctx ~cost:wcost ~cleanups r site)
+                    sites))
             groups
         in
         let groups = Array.of_list groups in
@@ -983,7 +1133,7 @@ let greedy_step_par ?(min_gain = 1e-9) ?budget ~exec ~cost_factory ctx
               ("parallel task: " ^ Pool.fault_message fault));
         match !best with
         | Some app when app.gain > min_gain ->
-            commit_app ?budget ctx ~cleanups app
+            commit_app ?budget ?seed ctx ~cleanups app
         | Some _ | None -> None
       end
 

@@ -179,9 +179,37 @@ val guarded_apply : Rule.context -> Rule.t -> Rule.site -> D.log -> bool
     violation) the edits are undone, the rule is quarantined and the
     result is [false]. *)
 
-val run_cleanups : Rule.context -> Rule.t list -> D.log -> unit
+val cleanup_seed : Rule.context -> Rule.t list -> int list option
+(** The components of every site the (unquarantined) cleanup rules find
+    over the whole current design, sorted — the focus a greedy step
+    seeds its cleanup lookahead with, taken once on the committed
+    design.  [None] when a [find] raises: the lookahead then scans the
+    whole design. *)
+
+val run_cleanups : ?seed:int list -> Rule.context -> Rule.t list -> D.log -> unit
 (** Fire applicable cleanup rules to a bounded fixpoint, recording into
-    the same log.  The bound charges successful applications only. *)
+    the same log.  The bound charges successful applications only.
+
+    With a [seed] from {!cleanup_seed} — taken on the design as it was
+    before the edits already in the log — the rules' finds scan only a
+    focus: the seed, the components the log touched, and every
+    component with a pin on a touched net, widened by each cleanup's
+    own edits.  By the [Cleanup] locality contract ({!Rule.rule_class})
+    that fires the same sites in the same order as a whole-design scan.
+    Without a seed the focus is the whole design. *)
+
+val set_debug_cleanups : bool -> unit
+(** Differential oracle for the focused lookahead: when armed, every
+    seeded {!run_cleanups} is repeated over the whole design on a copy
+    (rule guard, trace and provenance suspended) and the two must
+    record the same entries and reach the same
+    [Hashcons.design_digest].  Resets the counts below.  Global; off by
+    default; for tests. *)
+
+val debug_cleanup_counts : unit -> int * int * string list
+(** Since the oracle was last (re)armed: seeded runs checked, those
+    whose seed was non-empty (the committed design still had cleanup
+    sites), and one message per divergence, oldest first. *)
 
 (** {2 Incremental measurement lock-step}
 
@@ -214,6 +242,7 @@ type application = { rule : Rule.t; site : Rule.site; gain : float }
 
 val evaluate :
   ?budget:Budget.t ->
+  ?seed:int list ->
   Rule.context ->
   cost:(unit -> float) ->
   cleanups:Rule.t list ->
@@ -222,7 +251,9 @@ val evaluate :
   float option
 (** Gain of applying the rule (with cleanups) at the site: apply,
     measure, undo.  Counts one evaluation against [budget] and returns
-    [None] without applying once the budget is exhausted. *)
+    [None] without applying once the budget is exhausted.  [seed]
+    focuses the cleanup lookahead ({!run_cleanups}); the design must be
+    the one it was taken on. *)
 
 val greedy_step :
   ?min_gain:float ->

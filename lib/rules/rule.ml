@@ -18,7 +18,9 @@ type rule_class =
   | Area  (** area at the expense of speed *)
   | Power  (** power at the expense of speed *)
   | Electric  (** corrects electrical violations (fanout) *)
-  | Cleanup  (** high-priority clean-up after other rules *)
+  | Cleanup
+      (** high-priority clean-up after other rules; keeps the locality
+          contract documented in rule.mli *)
   | Micro  (** microarchitecture-level transformation *)
 
 let class_name = function
@@ -105,7 +107,9 @@ let make ~name ~cls ~find ~apply =
 (* --- Helpers shared by rule implementations -------------------------- *)
 
 (* Components eligible for matching: all of them, or just the focus set
-   during incremental recognize-act. *)
+   during incremental recognize-act.  Either way in ascending id, so a
+   focused find lists its sites in the order of the whole scan — the
+   cleanup lookahead fires the first applicable site in find order. *)
 let scan_comps ctx =
   match !(ctx.focus) with
   | None -> D.comps ctx.design
@@ -116,6 +120,7 @@ let scan_comps ctx =
           | Some c -> c :: acc
           | None -> acc)
         tbl []
+      |> List.sort (fun (a : D.comp) b -> compare a.D.id b.D.id)
 
 (* All components whose kind is a macro satisfying [pred]. *)
 let macro_comps ctx pred =

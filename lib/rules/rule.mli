@@ -6,6 +6,11 @@ module D = Milo_netlist.Design
 module T = Milo_netlist.Types
 
 type rule_class = Logic | Timing | Area | Power | Electric | Cleanup | Micro
+(** [Cleanup] rules keep a locality contract: whether a component
+    anchors a site (is the first of its [site_comps]) depends only on
+    the component and the nets on its pins, with those nets' drivers
+    and fanout — radius one.  [Engine.run_cleanups] relies on it to
+    re-match only around a change log. *)
 
 val class_name : rule_class -> string
 
@@ -39,7 +44,9 @@ val fork_context : context -> context
     through the fork is visible through the original. *)
 
 val scan_comps : context -> D.comp list
-(** Components eligible for matching (respects the focus set). *)
+(** Components eligible for matching, in ascending id: all of them, or
+    only the focus set's when one is set — so a focused scan is the
+    whole scan filtered to the focus, in the same order. *)
 
 val find_macro : context -> string -> Milo_library.Macro.t option
 val macro_of : context -> D.comp -> Milo_library.Macro.t option

@@ -340,8 +340,60 @@ let check_debug_flow (c : Suite.case) =
         c.Suite.case_name
   | _ -> ()
 
+(* The focused cleanup lookahead against the whole-design one: with
+   the engine's cleanup oracle armed, every candidate the greedy steps
+   evaluate (and every winner they commit) re-runs its cleanups over
+   the whole design on a copy, which must record the same entries and
+   reach the same digest.  Flows run as the benchmark runs them
+   (sampled guard, certification, one supervised domain), so the
+   per-level steps and the flat area-opt fan-out are both covered; the
+   final designs must equal an oracle-off run's.  At least one checked
+   run must start from a committed design that still has cleanup sites
+   (design 6's per-level dead logic, design 7's first flat step) — a
+   focus that dropped the seed would diverge there. *)
+let check_cleanup_focus cases =
+  let run ~debug (name, constraints, design) =
+    Engine.set_debug_cleanups debug;
+    match
+      Flow.run ~technology:Flow.Ecl ~constraints ~guard:Milo_guard.Guard.Sampled
+        ~certify:true ~domains:1 design
+    with
+    | Flow.Complete res ->
+        Some (Milo_netlist.Hashcons.design_digest res.Flow.optimized)
+    | Flow.Partial pr ->
+        fail "%s: cleanup focus: degraded at %s (%s)" name
+          (Flow.stage_name pr.Flow.failed_stage)
+          pr.Flow.failure.Flow.err_message;
+        None
+  in
+  let seeded = ref 0 in
+  List.iter
+    (fun ((name, _, _) as case) ->
+      let off = run ~debug:false case in
+      let on = run ~debug:true case in
+      let c, s, divergences = Engine.debug_cleanup_counts () in
+      Engine.set_debug_cleanups false;
+      seeded := !seeded + s;
+      List.iter (fun d -> fail "%s: cleanup focus: %s" name d) divergences;
+      if off <> on then fail "%s: cleanup oracle changed the final design" name;
+      Printf.printf "%-24s cleanup focus: %d runs checked, %d seeded\n" name c s)
+    cases;
+  if !seeded = 0 then
+    fail "cleanup focus: no checked run started from a design with cleanup sites"
+
 let () =
   Engine.quarantine_reset ();
+  check_cleanup_focus
+    (List.map
+       (fun (c : Suite.case) ->
+         (c.Suite.case_name, c.Suite.constraints, c.Suite.case_design))
+       (Suite.all ())
+    @ [
+        ( "random_g250_s7",
+          Milo.Constraints.none,
+          Milo_designs.Workload.random_logic ~inputs:16 ~outputs:8 ~gates:250
+            ~seed:7 () );
+      ]);
   Measure.set_debug_check true;
   lcg := 20260805;
   (* Random mapped workloads: dense combinational soup, lots of rule

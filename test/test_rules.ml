@@ -193,6 +193,147 @@ let test_cleanup_fixpoint () =
   (* everything but a driver for Y should be gone *)
   Alcotest.(check bool) "shrunk to <= 1 comp" true (D.num_comps d <= 1)
 
+(* Under a focus, [Rule.scan_comps] is the whole scan filtered to the
+   focus, in the same (ascending id) order, whatever order the focus
+   table was filled in and whatever stale ids it holds; so every
+   cleanup rule's focused find is its whole find filtered to the sites
+   anchored in the focus, in the same order. *)
+let test_scan_order_focus () =
+  let src = Milo_designs.Workload.random_logic ~gates:60 ~seed:5 () in
+  let d =
+    Milo_techmap.Table_map.map_design (Milo_techmap.Table_map.ecl_target ()) src
+  in
+  let ctx = Util.ctx_for (Util.ecl ()) d in
+  let ids = List.map (fun (c : D.comp) -> c.D.id) (D.comps d) in
+  let whole_sites = List.map (fun (r : R.t) -> r.R.find ctx) Milo_critic.Critic.cleanup in
+  let rng = Random.State.make [| 2026 |] in
+  for _ = 1 to 20 do
+    let focus =
+      List.filter (fun _ -> Random.State.int rng 3 = 0) ids
+      @ [ 100_000; 100_001 ]
+      |> List.map (fun id -> (Random.State.bits rng, id))
+      |> List.sort compare |> List.map snd
+    in
+    let tbl = Hashtbl.create 16 in
+    List.iter (fun id -> Hashtbl.replace tbl id ()) focus;
+    ctx.R.focus := Some tbl;
+    let focused = List.map (fun (c : D.comp) -> c.D.id) (R.scan_comps ctx) in
+    Alcotest.(check (list int)) "focused scan = filtered whole scan"
+      (List.filter (Hashtbl.mem tbl) ids) focused;
+    List.iter2
+      (fun (r : R.t) whole ->
+        let anchored (s : R.site) = Hashtbl.mem tbl (List.hd s.R.site_comps) in
+        Alcotest.(check (list (list int)))
+          (r.R.rule_name ^ ": focused find = filtered whole find")
+          (List.map (fun (s : R.site) -> s.R.site_comps) (List.filter anchored whole))
+          (List.map (fun (s : R.site) -> s.R.site_comps) (r.R.find ctx)))
+      Milo_critic.Critic.cleanup whole_sites;
+    ctx.R.focus := None
+  done
+
+(* Cleanups after a candidate, as the greedy steps run them: [build]
+   makes the committed design and applies the candidate into a log;
+   [seed_of] picks the seed from the one taken on the committed design
+   ([Fun.id]), or replaces it.  Returns the final digest, the cleanups'
+   entries, the committed seed and [probe] of the final design. *)
+let cleanup_after build ~probe seed_of =
+  let d, ctx, committed_seed, log = build () in
+  let head = List.length !log in
+  Milo_rules.Engine.run_cleanups ?seed:(seed_of committed_seed) ctx
+    Milo_critic.Critic.cleanup log;
+  ( Milo_netlist.Hashcons.design_digest d,
+    List.filteri (fun i _ -> i >= head) (D.entries log),
+    committed_seed,
+    probe d )
+
+(* [build ()] for a design with ports A (in) and Y (out): [body] adds
+   the committed components and the candidate edits. *)
+let candidate_design body () =
+  let d = D.create "cand" in
+  let a = D.add_port d "A" T.Input in
+  let y = D.add_port d "Y" T.Output in
+  let ctx = Util.ctx_for (Util.ecl ()) d in
+  let seed = ref None in
+  let log = D.new_log () in
+  body d a y (fun () ->
+      seed := Milo_rules.Engine.cleanup_seed ctx Milo_critic.Critic.cleanup)
+    log;
+  (d, ctx, !seed, log)
+
+(* The seed keeps the focused lookahead exact on a committed design
+   that still has a cleanup site away from the candidate's edits: the
+   seeded run removes the stale dead gate (id 0) exactly as a
+   whole-design run does, while a run with an empty seed never looks at
+   it. *)
+let test_cleanup_seed () =
+  Milo_rules.Engine.quarantine_reset ();
+  let build =
+    candidate_design (fun d a y commit log ->
+        let b = D.add_port d "B" T.Input in
+        let dead = D.add_comp d (T.Macro "E_OR2") in
+        D.connect d dead "A0" b;
+        D.connect d dead "A1" b;
+        D.connect d dead "Y" (D.new_net d);
+        let i1 = D.add_comp d (T.Macro "E_INV") in
+        let n1 = D.new_net d in
+        D.connect d i1 "A0" a;
+        D.connect d i1 "Y" n1;
+        let o = D.add_comp d (T.Macro "E_OR2") in
+        D.connect d o "A0" n1;
+        D.connect d o "A1" a;
+        D.connect d o "Y" y;
+        commit ();
+        (* The candidate: a second inverter between i1 and o. *)
+        let i2 = D.add_comp ~log d (T.Macro "E_INV") in
+        let n2 = D.new_net ~log d in
+        D.connect ~log d i2 "A0" n1;
+        D.connect ~log d i2 "Y" n2;
+        D.connect ~log d o "A0" n2)
+  in
+  let cleanup = cleanup_after build ~probe:(fun d -> D.comp_opt d 0 = None) in
+  let whole_digest, whole_entries, _, _ = cleanup (fun _ -> None) in
+  let seeded_digest, seeded_entries, seed, dead_gone = cleanup Fun.id in
+  Alcotest.(check (option (list int))) "seed = the stale dead gate" (Some [ 0 ]) seed;
+  Alcotest.(check bool) "seeded run removes the dead gate" true dead_gone;
+  Alcotest.(check bool) "seeded run = whole-design run" true
+    (seeded_entries = whole_entries);
+  Alcotest.(check string) "same design" whole_digest seeded_digest;
+  let _, unseeded_entries, _, unseeded_dead_gone = cleanup (fun _ -> Some []) in
+  Alcotest.(check bool) "an empty seed misses the dead gate" false unseeded_dead_gone;
+  Alcotest.(check bool) "and diverges from the whole-design run" true
+    (unseeded_entries <> whole_entries)
+
+(* A candidate that only changes a driver's kind names none of its
+   nets, yet a consumer's site status can change: turning the buffer
+   c1 in A -> c1 -> c2 (INV) into an inverter makes c2 a double-inverter
+   site.  The focus reaches c2 through the nets of the touched c1. *)
+let test_cleanup_focus_kind_change () =
+  Milo_rules.Engine.quarantine_reset ();
+  let build =
+    candidate_design (fun d a y commit log ->
+        let c1 = D.add_comp d (T.Macro "E_BUF") in
+        let n1 = D.new_net d in
+        D.connect d c1 "A0" a;
+        D.connect d c1 "Y" n1;
+        let c2 = D.add_comp d (T.Macro "E_INV") in
+        let n2 = D.new_net d in
+        D.connect d c2 "A0" n1;
+        D.connect d c2 "Y" n2;
+        let o = D.add_comp d (T.Macro "E_OR2") in
+        D.connect d o "A0" n2;
+        D.connect d o "A1" a;
+        D.connect d o "Y" y;
+        commit ();
+        D.set_kind ~log d c1 (T.Macro "E_INV"))
+  in
+  let cleanup = cleanup_after build ~probe:(fun d -> D.num_comps d) in
+  let whole_digest, whole_entries, _, _ = cleanup (fun _ -> None) in
+  let seeded_digest, seeded_entries, _, comps = cleanup Fun.id in
+  Alcotest.(check int) "the inverter pair is gone" 1 comps;
+  Alcotest.(check bool) "seeded run = whole-design run" true
+    (seeded_entries = whole_entries);
+  Alcotest.(check string) "same design" whole_digest seeded_digest
+
 let test_ops_engine () =
   (* The strictly rule-based engine reaches quiescence and respects
      refraction (no infinite loop on a rule that reports success without
@@ -479,6 +620,10 @@ let () =
             test_ops_determinism;
           Alcotest.test_case "cleanup budget accounting" `Quick
             test_cleanup_budget_accounting;
+          Alcotest.test_case "focused scan order" `Quick test_scan_order_focus;
+          Alcotest.test_case "cleanup seed" `Quick test_cleanup_seed;
+          Alcotest.test_case "cleanup focus: kind change" `Quick
+            test_cleanup_focus_kind_change;
           Alcotest.test_case "greedy improves" `Quick test_greedy_improves_cost;
         ] );
       ( "search",
